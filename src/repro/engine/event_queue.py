@@ -1,95 +1,55 @@
-"""Priority-queue event scheduler for the discrete-event engine.
+"""Cycle-bucketed event scheduler for the discrete-event engine.
 
-Events are plain ``(time, sequence, callback)`` tuples kept in a binary
-heap.  The sequence number breaks ties deterministically: two events
-scheduled for the same cycle fire in the order they were scheduled, which
-keeps the simulator fully reproducible.  Plain tuples matter for speed --
-they cost one small allocation and compare element-wise in C during heap
-sifts, where a dataclass event would pay a Python ``__lt__`` per
-comparison.
-
-Cancellation is deliberately kept off this fast path.  The ordinary
-:meth:`EventQueue.schedule` / :meth:`EventQueue.schedule_at` calls are
-fire-and-forget (they return ``None``); the rare caller that needs to
-revoke an event uses :meth:`EventQueue.schedule_cancellable`, which
-returns an :class:`Event` handle.  A cancelled event's sequence number
-goes into a side set that the pop loop consults only when non-empty, so
-simulations that never cancel (all of them, today) pay a single truth
-test per event.
+Pending events are grouped by the cycle they fire in: a binary heap holds
+each distinct pending cycle once, and a dict maps every such cycle to a
+plain list of its callbacks in scheduling order.  The order is exactly
+that of a ``(time, sequence)`` heap -- earlier cycles first, and within a
+cycle the order the events were scheduled in, which keeps the simulator
+fully reproducible -- but the heap is pushed and popped once per distinct
+cycle instead of once per event.  An event scheduled for the cycle that is
+currently executing is appended to that cycle's list, and the running
+iteration over the list reaches it after every event already there.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import islice
+from time import perf_counter
 from typing import Any, Callable
 
-__all__ = ["Event", "EventQueue"]
-
-
-class Event:
-    """Handle for a cancellable scheduled callback.
-
-    Only :meth:`EventQueue.schedule_cancellable` returns these; ordinary
-    scheduling does not allocate a handle.
-    """
-
-    __slots__ = ("time", "seq", "cancelled", "_queue")
-
-    def __init__(self, queue: "EventQueue", time: int, seq: int) -> None:
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-        self._queue = queue
-
-    def cancel(self) -> None:
-        """Mark the event so it is skipped when popped.
-
-        Cancelling an event that can no longer be in the heap (its time is
-        already in the past) is a no-op rather than a stale side-set entry.
-        """
-        if not self.cancelled:
-            self.cancelled = True
-            if self.time >= self._queue._now:
-                self._queue._cancelled.add(self.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"Event(time={self.time}, seq={self.seq}, {state})"
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
     """A deterministic discrete-event queue.
 
-    The queue tracks the current simulation time (in cycles).  Components
-    schedule work with :meth:`schedule` (relative delay) or
-    :meth:`schedule_at` (absolute time); the simulator driver repeatedly pops
-    the earliest event and invokes its callback.
+    The queue tracks the current simulation time :attr:`now` (in cycles).
+    Components schedule work with :meth:`schedule` (relative delay) or
+    :meth:`schedule_at` (absolute time); :meth:`run` executes the events
+    in time order.
     """
 
-    __slots__ = ("_heap", "_seq", "_now", "_executed", "_cancelled")
+    __slots__ = ("now", "executed", "_times", "_buckets", "_base")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, Callable[[], Any]]] = []
-        self._seq = 0
-        self._now = 0
-        self._executed = 0
-        #: sequence numbers of cancelled-but-not-yet-popped events
-        self._cancelled: set[int] = set()
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in cycles."""
-        return self._now
+        #: current simulation time in cycles
+        self.now = 0
+        #: number of events executed so far; callbacks see a live value
+        self.executed = 0
+        #: heap of the distinct cycles that have a bucket
+        self._times: list[int] = []
+        #: cycle -> callbacks still to run in that cycle, in scheduling order
+        self._buckets: dict[int, list[Callable[[], Any]]] = {}
+        #: ``executed`` when the front of the running bucket was last trimmed;
+        #: ``executed - _base`` events of that bucket have run but are not
+        #: yet removed from it (0 outside :meth:`run`)
+        self._base = 0
 
     @property
     def pending(self) -> int:
-        """Number of events still in the heap (including cancelled ones)."""
-        return len(self._heap)
-
-    @property
-    def executed(self) -> int:
-        """Number of events executed so far."""
-        return self._executed
+        """Number of events scheduled but not yet executed."""
+        return sum(map(len, self._buckets.values())) - (self.executed - self._base)
 
     def schedule(self, delay: int | float, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
@@ -100,139 +60,97 @@ class EventQueue:
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        time = self._now + (delay if delay.__class__ is int else int(round(delay)))
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time, seq, callback))
+        time = self.now + (delay if delay.__class__ is int else int(round(delay)))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [callback]
+            heappush(self._times, time)
+        else:
+            bucket.append(callback)
 
     def schedule_at(self, time: int, callback: Callable[[], Any]) -> None:
         """Schedule ``callback`` to run at absolute cycle ``time``."""
         if time.__class__ is not int:
             time = int(time)
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                f"cannot schedule an event at {time}, current time is {self._now}"
+                f"cannot schedule an event at {time}, current time is {self.now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time, seq, callback))
-
-    def schedule_cancellable(
-        self, delay: int | float, callback: Callable[[], Any]
-    ) -> Event:
-        """Like :meth:`schedule`, but return a handle that can cancel.
-
-        Cancellable events ride the same heap as ordinary ones; only the
-        handle allocation and the cancelled-sequence bookkeeping are extra.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        time = self._now + (delay if delay.__class__ is int else int(round(delay)))
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time, seq, callback))
-        return Event(self, time, seq)
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = [callback]
+            heappush(self._times, time)
+        else:
+            bucket.append(callback)
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        heap = self._heap
-        cancelled = self._cancelled
-        while heap:
-            time, seq, callback = heappop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._now = time
-            self._executed += 1
-            callback()
-            return True
-        if cancelled:
-            # empty heap: any remaining cancelled seqs are fired-or-popped
-            cancelled.clear()
-        return False
+        before = self.executed
+        self.run(max_events=1)
+        return self.executed > before
 
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
+    def run(
+        self,
+        until: int | None = None,
+        max_events: int | None = None,
+        profiler: Any = None,
+    ) -> int:
         """Drain the queue.
 
         Args:
             until: stop once simulation time passes this cycle (events at
                 later times remain queued).
             max_events: safety bound on the number of events to execute.
+            profiler: optional :class:`repro.telemetry.profiler.SimProfiler`;
+                when given, every callback is timed and reported to it, and
+                the loop's wall time is added.  The events run are the same.
 
         Returns:
             The simulation time when the run stopped.
         """
-        # Hot loop: locals for everything touched per event, one heap pop
-        # per event (no separate peek traversal), and a single truth test
-        # for the (empty, in practice) cancelled set.  The executed count
-        # is committed per event (not batched on exit) so callbacks that
-        # read ``self.executed`` mid-run -- the fast-forward sampler's
-        # per-kernel measurements -- observe a live value.
-        heap = self._heap
-        pop = heappop
-        cancelled = self._cancelled
-        executed = 0
-        while heap:
-            if max_events is not None and executed >= max_events:
-                break
-            if until is not None and heap[0][0] > until:
-                self._now = until
-                break
-            time, seq, callback = pop(heap)
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._now = time
-            executed += 1
-            self._executed += 1
-            callback()
-        if not heap and cancelled:
-            # drained: no pending entry can match, drop any stale seqs
-            cancelled.clear()
-        return self._now
-
-    def run_profiled(
-        self,
-        profiler: Any,
-        until: int | None = None,
-        max_events: int | None = None,
-    ) -> int:
-        """Drain the queue like :meth:`run`, timing every callback.
-
-        A separate instrumented copy of the :meth:`run` loop -- same pop
-        order, same ``until`` semantics, same executed accounting, so the
-        simulated results are bit-identical -- that wraps each callback in
-        a ``perf_counter`` pair and reports it to ``profiler`` (a
-        :class:`repro.telemetry.profiler.SimProfiler`).  Kept apart so the
-        production loop pays nothing when profiling is off.
-        """
-        from time import perf_counter
-
-        heap = self._heap
-        pop = heappop
-        cancelled = self._cancelled
-        record = profiler.record
-        executed = 0
+        # One pass of the outer loop per distinct cycle.  The inner ``for``
+        # iterates the cycle's list in place, so events appended to it by the
+        # callbacks run in the same pass; ``islice`` caps the pass at the
+        # remaining event budget.  The executed count is committed per event
+        # so callbacks that read ``self.executed`` mid-run -- the
+        # fast-forward sampler's per-kernel measurements -- see a live value.
+        times = self._times
+        buckets = self._buckets
+        record = None if profiler is None else profiler.record
+        stop = None if max_events is None else self.executed + max_events
         wall_start = perf_counter()
         try:
-            while heap:
-                if max_events is not None and executed >= max_events:
+            while times:
+                if stop is not None and self.executed >= stop:
                     break
-                if until is not None and heap[0][0] > until:
-                    self._now = until
+                time = times[0]
+                if until is not None and time > until:
+                    self.now = until
                     break
-                time, seq, callback = pop(heap)
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
-                self._now = time
-                executed += 1
-                self._executed += 1
-                started = perf_counter()
-                callback()
-                record(callback, perf_counter() - started)
-            if not heap and cancelled:
-                cancelled.clear()
+                self.now = time
+                bucket = buckets[time]
+                batch = bucket if stop is None else islice(bucket, stop - self.executed)
+                try:
+                    for callback in batch:
+                        self.executed += 1
+                        if record is None:
+                            callback()
+                        else:
+                            started = perf_counter()
+                            callback()
+                            record(callback, perf_counter() - started)
+                finally:
+                    done = self.executed - self._base
+                    self._base = self.executed
+                    partial = done < len(bucket)
+                    if partial:
+                        del bucket[:done]
+                    else:
+                        heappop(times)
+                        del buckets[time]
+                if partial:
+                    break
         finally:
-            profiler.add_wall(perf_counter() - wall_start)
-        return self._now
+            if profiler is not None:
+                profiler.add_wall(perf_counter() - wall_start)
+        return self.now

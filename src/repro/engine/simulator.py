@@ -34,7 +34,7 @@ class Simulator:
         self.max_events = max_events or self.DEFAULT_MAX_EVENTS
         self._finish_hooks: list[Callable[[int], None]] = []
         #: optional :class:`repro.telemetry.profiler.SimProfiler`; when set,
-        #: :meth:`run` uses the instrumented event loop
+        #: :meth:`run` times every event callback
         self.profiler: Any = None
 
     @property
@@ -62,12 +62,9 @@ class Simulator:
         almost always indicates a livelock in a timing model.
         """
         remaining = self.max_events - self.queue.executed
-        if self.profiler is not None:
-            final = self.queue.run_profiled(
-                self.profiler, until=until, max_events=max(0, remaining)
-            )
-        else:
-            final = self.queue.run(until=until, max_events=max(0, remaining))
+        final = self.queue.run(
+            until=until, max_events=max(0, remaining), profiler=self.profiler
+        )
         if self.queue.pending and self.queue.executed >= self.max_events:
             raise RuntimeError(
                 f"simulation exceeded the event budget of {self.max_events} events; "

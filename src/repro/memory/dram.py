@@ -32,8 +32,10 @@ __all__ = ["DramBank", "DramChannel", "DramSystem"]
 FR_FCFS_STARVATION_LIMIT = 8
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _QueuedAccess:
+    # identity equality: every queued access is a distinct object, so
+    # ``deque.remove`` finds the picked entry without comparing fields
     request: MemoryRequest
     row: int
     arrival: int

@@ -9,12 +9,11 @@ method's closure -- each event callback is).  Attribution uses
 closure to the class that defined it, so ``Cache``/``DramChannel``/``Gpu``
 show up as themselves instead of a wall of ``<lambda>``.
 
-Profiling uses a separate instrumented event loop
-(:meth:`repro.engine.event_queue.EventQueue.run_profiled`): the production
-:meth:`~repro.engine.event_queue.EventQueue.run` hot loop is untouched, so
-runs without a profiler pay nothing.  The profiled loop executes the exact
-same event sequence (simulated results are bit-identical); only host time
-is observed.
+Profiling is a mode of the one event loop
+(:meth:`repro.engine.event_queue.EventQueue.run` with ``profiler=``): runs
+without a profiler pay one ``is None`` test per event.  The profiled run
+executes the exact same event sequence (simulated results are
+bit-identical); only host time is observed.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class SimProfiler:
         self.component_events: dict[str, int] = {}
 
     # ------------------------------------------------------------------
-    # called by EventQueue.run_profiled
+    # called by EventQueue.run
     # ------------------------------------------------------------------
     def record(self, callback: Callable[[], Any], seconds: float) -> None:
         """Charge one executed event's host time to its component."""

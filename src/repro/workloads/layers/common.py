@@ -102,17 +102,42 @@ class ProgramBuilder:
         Counts larger than the wavefront size are split into multiple
         instructions (the same static site / PC), which is how a loop over a
         per-thread chunk appears in hardware.
+
+        A positive-stride instruction that does not wrap around the end of
+        the tensor gets its lines computed directly, in O(lines); every
+        other instruction coalesces its per-lane addresses.  Both give the
+        same lines.
         """
         lanes_total = self.wavefront_size if count is None else count
         if lanes_total <= 0:
             raise ValueError("count must be positive")
         pc = self.pcs.pc(site)
+        line_bytes = self.line_bytes
         for offset, lanes in chunks(lanes_total, self.wavefront_size):
-            addresses = [
-                tensor.address_of(start_element + (offset + lane) * stride)
-                for lane in range(lanes)
-            ]
-            lines = coalesce_addresses(addresses, self.line_bytes)
+            first = start_element + offset * stride
+            wrapped = first % tensor.num_elements
+            if stride > 0 and wrapped + (lanes - 1) * stride < tensor.num_elements:
+                # the lanes' addresses ascend without wrapping, so their
+                # distinct lines in first-touch order are the ascending lines
+                step = stride * tensor.element_bytes
+                low = tensor.base_address + wrapped * tensor.element_bytes
+                if step <= line_bytes:
+                    # no line between the first and last lane is skipped
+                    high = low + (lanes - 1) * step
+                    lines = tuple(
+                        range(low - low % line_bytes, high - high % line_bytes + 1, line_bytes)
+                    )
+                else:
+                    # every lane touches its own line
+                    lines = tuple(
+                        address - address % line_bytes
+                        for address in range(low, low + lanes * step, step)
+                    )
+            else:
+                addresses = [
+                    tensor.address_of(first + lane * stride) for lane in range(lanes)
+                ]
+                lines = coalesce_addresses(addresses, line_bytes)
             self.program.append(MemInstr(access=access, line_addresses=lines, pc=pc))
         return self
 

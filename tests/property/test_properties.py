@@ -9,6 +9,8 @@ access sequences.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,14 +91,23 @@ class TestAddressMappingProperties:
         mapping = AddressMapping(config, line_bytes=64)
         address = line_index * 64
         loc = mapping.locate(address)
+        # the lines below (line_index + 64) * 64 in loc's channel, bank and
+        # row: address_of inverts locate, so the row's columns are all of them
         peers = [
             other
-            for other in range(0, (line_index + 64) * 64, 64)
-            if mapping.locate(other).channel == loc.channel
-            and mapping.locate(other).bank == loc.bank
-            and mapping.locate(other).row == loc.row
+            for other in (
+                mapping.address_of(replace(loc, column=column))
+                for column in range(mapping.lines_per_row)
+            )
+            if other < (line_index + 64) * 64
         ]
-        assert all(mapping.row_id(peer) == mapping.row_id(address) for peer in peers)
+        assert address in peers
+        for peer in peers:
+            peer_loc = mapping.locate(peer)
+            assert (peer_loc.channel, peer_loc.bank, peer_loc.row) == (
+                loc.channel, loc.bank, loc.row,
+            )
+            assert mapping.row_id(peer) == mapping.row_id(address)
 
 
 class TestDirtyBlockIndexProperties:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+from itertools import count
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.event_queue import EventQueue
 
@@ -77,15 +82,6 @@ class TestExecution:
         assert order == ["first", "second"]
         assert queue.now == 6
 
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_cancellable(10, lambda: fired.append("cancelled"))
-        queue.schedule(20, lambda: fired.append("kept"))
-        event.cancel()
-        queue.run()
-        assert fired == ["kept"]
-
     def test_run_until_leaves_later_events_pending(self):
         queue = EventQueue()
         fired = []
@@ -107,69 +103,36 @@ class TestExecution:
         queue.run(max_events=25)
         assert queue.executed == 25
 
-    def test_executed_counts_only_real_events(self):
-        queue = EventQueue()
-        event = queue.schedule_cancellable(1, lambda: None)
-        event.cancel()
-        queue.schedule(2, lambda: None)
-        queue.run()
-        assert queue.executed == 1
-
-    def test_cancel_is_idempotent(self):
+    def test_step_runs_one_event_at_a_time(self):
         queue = EventQueue()
         fired = []
-        event = queue.schedule_cancellable(1, lambda: fired.append("a"))
-        event.cancel()
-        event.cancel()
-        queue.schedule(2, lambda: fired.append("b"))
-        queue.run()
-        assert fired == ["b"]
-        assert queue.executed == 1
-
-    def test_cancel_after_fire_does_not_skip_later_events(self):
-        # cancelling an already-fired event must not poison the seq set
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_cancellable(1, lambda: fired.append("a"))
-        queue.run()
-        event.cancel()
+        queue.schedule(1, lambda: fired.append("a"))
         queue.schedule(1, lambda: fired.append("b"))
-        queue.run()
-        assert fired == ["a", "b"]
-        # the side set must not leak stale sequence numbers either
-        assert queue._cancelled == set()
-
-    def test_drained_queue_clears_cancelled_side_set(self):
-        queue = EventQueue()
-        fired = []
-        # same-cycle cancel-after-fire: the guard in cancel() cannot tell,
-        # so the drain path must clean the stale entry up
-        event = queue.schedule_cancellable(0, lambda: fired.append("a"))
-        queue.run()
-        event.cancel()
-        assert fired == ["a"]
-        queue.schedule(1, lambda: fired.append("b"))
-        queue.run()
-        assert fired == ["a", "b"]
-        assert queue._cancelled == set()
-
-    def test_cancellable_events_keep_tie_order(self):
-        queue = EventQueue()
-        order = []
-        queue.schedule(5, lambda: order.append("plain"))
-        queue.schedule_cancellable(5, lambda: order.append("cancellable"))
-        queue.run()
-        assert order == ["plain", "cancellable"]
-
-    def test_step_skips_cancelled_events(self):
-        queue = EventQueue()
-        fired = []
-        event = queue.schedule_cancellable(1, lambda: fired.append("a"))
-        queue.schedule(2, lambda: fired.append("b"))
-        event.cancel()
+        queue.schedule(2, lambda: fired.append("c"))
         assert queue.step() is True
-        assert fired == ["b"]
+        assert fired == ["a"] and queue.now == 1 and queue.pending == 2
+        assert queue.step() is True
+        assert fired == ["a", "b"] and queue.pending == 1
+        assert queue.step() is True
+        assert fired == ["a", "b", "c"] and queue.now == 2
         assert queue.step() is False
+        assert queue.executed == 3
+
+    def test_callback_error_leaves_the_queue_consistent(self):
+        queue = EventQueue()
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        queue.schedule(1, lambda: fired.append("a"))
+        queue.schedule(1, boom)
+        queue.schedule(1, lambda: fired.append("b"))
+        with pytest.raises(RuntimeError):
+            queue.run()
+        assert queue.executed == 2 and queue.pending == 1
+        queue.run()
+        assert fired == ["a", "b"]
 
 
 class TestFastPath:
@@ -199,3 +162,115 @@ class TestFastPath:
         queue.schedule(True, lambda: seen.append(queue.now))
         queue.run()
         assert seen == [1]
+
+
+class ReferenceQueue:
+    """Executable specification: one ``(time, seq, callback)`` heap entry
+    per event, popped in tuple order."""
+
+    def __init__(self) -> None:
+        self.heap: list = []
+        self.seq = 0
+        self.now = 0
+        self.executed = 0
+
+    @property
+    def pending(self) -> int:
+        return len(self.heap)
+
+    def schedule(self, delay, callback) -> None:
+        self.schedule_at(self.now + delay, callback)
+
+    def schedule_at(self, time, callback) -> None:
+        assert time >= self.now
+        heappush(self.heap, (time, self.seq, callback))
+        self.seq += 1
+
+    def step(self) -> bool:
+        if not self.heap:
+            return False
+        time, _, callback = heappop(self.heap)
+        self.now = time
+        self.executed += 1
+        callback()
+        return True
+
+    def run(self, until=None, max_events=None) -> int:
+        executed = 0
+        while self.heap:
+            if max_events is not None and executed >= max_events:
+                break
+            if until is not None and self.heap[0][0] > until:
+                self.now = until
+                break
+            time, _, callback = heappop(self.heap)
+            self.now = time
+            executed += 1
+            self.executed += 1
+            callback()
+        return self.now
+
+
+#: (absolute?, delay) of one scheduling call; small delays force many
+#: events into the same cycle, and 0 schedules into the running cycle
+schedule_calls = st.tuples(st.booleans(), st.integers(min_value=0, max_value=4))
+queue_ops = st.one_of(
+    st.tuples(st.just("schedule"), schedule_calls),
+    st.tuples(
+        st.just("run"),
+        st.tuples(
+            st.none() | st.integers(min_value=0, max_value=12),
+            st.none() | st.integers(min_value=0, max_value=6),
+        ),
+    ),
+    st.tuples(st.just("step"), st.none()),
+)
+
+
+def drive(queue, spawns, ops):
+    """Replay one schedule on ``queue``; returns the observation log.
+
+    Event *i* (ids in scheduling order) schedules ``spawns[i]`` when it
+    fires.  Every callback logs its id with the queue's ``now``,
+    ``executed`` and ``pending``; every operation on the queue logs the same
+    triple after it returns.
+    """
+    log: list = []
+    ids = count()
+
+    def add(absolute: bool, delay: int) -> None:
+        event_id = next(ids)
+
+        def fire() -> None:
+            log.append(("event", event_id, queue.now, queue.executed, queue.pending))
+            for call in spawns[event_id] if event_id < len(spawns) else ():
+                add(*call)
+
+        if absolute:
+            queue.schedule_at(queue.now + delay, fire)
+        else:
+            queue.schedule(delay, fire)
+
+    for op, arg in ops:
+        if op == "schedule":
+            add(*arg)
+        elif op == "run":
+            offset, max_events = arg
+            until = None if offset is None else queue.now + offset
+            log.append(("ran", queue.run(until=until, max_events=max_events)))
+        else:
+            log.append(("stepped", queue.step()))
+        log.append((op, queue.now, queue.executed, queue.pending))
+    queue.run()
+    log.append(("drained", queue.now, queue.executed, queue.pending))
+    return log
+
+
+class TestReferenceOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spawns=st.lists(st.lists(schedule_calls, max_size=3), max_size=40),
+        ops=st.lists(queue_ops, min_size=1, max_size=30),
+    )
+    def test_matches_time_seq_heap(self, spawns, ops):
+        assert drive(EventQueue(), spawns, ops) == drive(ReferenceQueue(), spawns, ops)
