@@ -9,10 +9,9 @@ into :class:`~repro.experiments.jobs.JobSpec` identities:
   steady, the remaining instances are skipped and their counters
   extrapolated with warmup correction, with a per-counter error bound
   reported on the run report.
-* :class:`ShardConfig` -- sharded multi-process execution.  One big run
-  is partitioned along its natural seams (serving streams or topology
-  devices) into per-shard event queues that advance in epochs and
-  synchronize boundary traffic at each epoch barrier.
+* :class:`ShardConfig` -- sharded multi-process execution.  The
+  partitioned streams of a serving mix are split into shards that run as
+  independent worker processes, and their reports are merged.
 
 Exact mode -- sampling disabled and a single shard -- is bit-identical to
 the historical simulator and hashes as ``None`` in fingerprints (the
@@ -23,13 +22,11 @@ their warm result-store cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 __all__ = ["SamplingConfig", "ShardConfig"]
 
-#: shard axes: ``auto`` resolves to ``streams`` for serving runs and
-#: ``devices`` for multi-device topology runs
-SHARD_AXES = ("auto", "streams", "devices")
+#: shard axes: a serving mix splits along its partitioned streams
+SHARD_AXES = ("streams",)
 
 
 @dataclass(frozen=True)
@@ -101,39 +98,23 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Sharded multi-process execution of one big run.
+    """Sharded multi-process execution of one serving run.
 
     Args:
-        num_shards: event-queue partitions; 1 is exact mode and
-            fingerprints as ``None``.
-        axis: ``"streams"`` (one shard owns a subset of the serving
-            streams), ``"devices"`` (one shard per topology device), or
-            ``"auto"`` (streams when serving, devices when a topology is
-            configured).
-        epoch_cycles: simulated cycles each shard advances between
-            synchronization barriers; boundary traffic (DRAM and fabric
-            aggregates) is exchanged at each barrier and recorded as
-            ``shard.*`` counters on the merged report.
-        timeout_seconds: wall-clock budget per shard per epoch (and for
-            startup/finalize); ``None`` waits forever.
+        num_shards: worker processes the partitioned streams are split
+            across; 1 is exact mode and fingerprints as ``None``.
+        axis: the seam the run splits along; ``"streams"`` (each shard
+            owns a subset of the serving streams) is the only one.
     """
 
     num_shards: int = 1
-    axis: str = "auto"
-    epoch_cycles: int = 50_000
-    timeout_seconds: Optional[float] = None
+    axis: str = "streams"
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.axis not in SHARD_AXES:
             raise ValueError(f"axis must be one of {SHARD_AXES}, got {self.axis!r}")
-        if self.epoch_cycles < 1:
-            raise ValueError(f"epoch_cycles must be >= 1, got {self.epoch_cycles}")
-        if self.timeout_seconds is not None and self.timeout_seconds <= 0:
-            raise ValueError(
-                f"timeout_seconds must be positive, got {self.timeout_seconds}"
-            )
 
     @property
     def empty(self) -> bool:
@@ -141,13 +122,5 @@ class ShardConfig:
         return self.num_shards <= 1
 
     def describe(self) -> dict[str, object]:
-        """Stable description for fingerprinting.
-
-        ``timeout_seconds`` is a host-side execution knob that cannot
-        change simulated results, so it stays out of the identity.
-        """
-        return {
-            "num_shards": self.num_shards,
-            "axis": self.axis,
-            "epoch_cycles": self.epoch_cycles,
-        }
+        """Stable description for fingerprinting."""
+        return {"num_shards": self.num_shards, "axis": self.axis}

@@ -1,48 +1,26 @@
-"""Sharded multi-process simulation: one big run, many event queues.
+"""Sharded multi-process simulation: independent jobs plus a merge.
 
-A serving mix of N tenants or an N-device topology run is one monolithic
-event queue today.  :func:`run_sharded` splits it along those natural
-seams into per-shard :class:`~repro.session.SimulationSession` instances
-living in dedicated worker processes, advances them in lock-stepped
-*epochs* (``ShardConfig.epoch_cycles`` of simulated time per step), and
-exchanges boundary-traffic aggregates at every epoch barrier -- recorded
-as ``shard.*`` counters on the merged report.
+Partitioned tenants of a serving mix share no simulated state: each owns
+its CUs and a fixed slice of the machine.  :func:`run_sharded` splits the
+streams into ``ShardConfig.num_shards`` groups, describes each group as a
+streams :class:`~repro.experiments.jobs.JobSpec` on a proportional slice
+of the machine (CUs, L2 capacity, DRAM channels and L2 banks scale with
+the shard's stream share, mirroring :func:`repro.config.scaled_config`),
+runs each shard's :class:`~repro.session.SimulationSession` to completion
+in its own worker process, and merges the reports: counters summed,
+per-stream counters remapped to their global stream index, cycles the
+slowest shard's.  Every stream must use ``cu_share="partitioned"``:
+shared dispatch couples tenants through the CU scheduler, which a
+process boundary cannot reproduce.
 
-Axes:
-
-* **streams** -- each shard owns a subset of the serving streams on a
-  proportional slice of the machine (CUs, L2 capacity, DRAM channels and
-  L2 banks scale with the shard's stream share, mirroring
-  :func:`repro.config.scaled_config`).  Requires every stream to use
-  ``cu_share="partitioned"``: shared dispatch couples tenants through
-  the CU scheduler, which a process boundary cannot reproduce.
-* **devices** -- one shard per topology device: the workload is
-  partitioned exactly as the monolithic NUMA run partitions it, then
-  each device's wavefronts run on a single-device session.  Fabric
-  latency between devices is not modelled across shards (remote lines
-  are served by each shard's own memory), which is the declared
-  approximation of this axis.
-
-Worker lifecycle reuses the :class:`~repro.experiments.jobs`
-process-pool idioms: one single-worker pool per shard (task->process
-affinity for the session registry), per-call timeouts, structured
-:class:`~repro.experiments.jobs.JobFailure` records on every failure
-path, and pools that are *always* released without waiting when a shard
-fails -- a stuck worker can never leak into later work
-(:class:`contextlib.ExitStack`-managed, the fix PR 10 also applies to
-``ProcessPoolBackend``).
-
-Exact mode (``num_shards == 1``) never reaches this module:
-:func:`repro.session.simulate` only dispatches here for a non-empty
-:class:`~repro.accel.config.ShardConfig`.
+:func:`repro.session.simulate` dispatches here only for a non-empty
+:class:`~repro.accel.config.ShardConfig`; one shard is exact mode.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
-from dataclasses import dataclass
 from dataclasses import replace as dc_replace
 from typing import Optional, Sequence, Union
 
@@ -50,15 +28,12 @@ from repro.accel.config import SamplingConfig, ShardConfig
 from repro.config import SystemConfig, default_config
 from repro.core.policies import PolicySpec, policy_by_name
 from repro.core.reuse_predictor import PredictorConfig
-from repro.fingerprint import fingerprint
+from repro.experiments.jobs import JobSpec, _failure
+from repro.session import SimulationSession
 from repro.stats.report import RunReport
 from repro.streams.config import ServingMix, StreamConfig
-from repro.topology.config import TopologyConfig
-from repro.topology.partition import partition_trace
-from repro.workloads.base import Workload
-from repro.workloads.trace import KernelTrace, WorkloadTrace
 
-__all__ = ["ShardExecutionError", "ShardTask", "run_sharded"]
+__all__ = ["ShardExecutionError", "run_sharded"]
 
 #: per-stream counters with absolute (not additive) semantics; they are
 #: remapped to the stream's global index but never summed
@@ -66,12 +41,11 @@ _STREAM_PREFIX = "stream"
 
 
 class ShardExecutionError(RuntimeError):
-    """A shard failed (crash, timeout, deadlock) during a sharded run.
+    """A shard failed (crash, deadlock, bad input) during a sharded run.
 
-    Carries structured :class:`~repro.experiments.jobs.JobFailure`
-    records on :attr:`failures`, one per shard that could not complete --
-    the same contract sweep backends use, so fleet tooling can treat a
-    failed shard like a failed job.
+    :attr:`failures` holds one :class:`~repro.experiments.jobs.JobFailure`
+    per failed shard -- the contract sweep backends use, so a failed
+    shard reads like a failed job.
     """
 
     def __init__(self, message: str, failures: Sequence[object]) -> None:
@@ -79,97 +53,20 @@ class ShardExecutionError(RuntimeError):
         self.failures = list(failures)
 
 
-@dataclass(frozen=True)
-class ShardTask:
-    """Picklable description of one shard's session (the worker input)."""
-
-    shard_id: int
-    policy: Optional[PolicySpec]
-    config: SystemConfig
-    predictor_config: Optional[PredictorConfig]
-    dbi_max_rows: Optional[int]
-    sampling: Optional[SamplingConfig]
-    #: streams axis: this shard's streams (local order)
-    streams: Optional[tuple[StreamConfig, ...]] = None
-    #: devices axis: this shard's slice of the partitioned workload
-    trace: Optional[WorkloadTrace] = None
-
-    def describe(self) -> dict[str, object]:
-        return {
-            "shard": self.shard_id,
-            "streams": (
-                None
-                if self.streams is None
-                else [stream.describe() for stream in self.streams]
-            ),
-            "workload": None if self.trace is None else self.trace.name,
-            "num_cus": self.config.gpu.num_cus,
-        }
-
-
-# ----------------------------------------------------------------------
-# worker side: one session per shard, kept alive across epoch calls.
-# Each shard gets its own single-worker pool, so every call for shard i
-# lands in the same process and finds its session here.
-# ----------------------------------------------------------------------
-_WORKER_SESSIONS: dict[int, object] = {}
-
-
-def _shard_begin(task: ShardTask) -> dict[str, object]:
-    """Build the shard's session and schedule its work (no time advances)."""
-    # imported here, not at module level: the session module imports this
-    # package's config, and workers fork with the parent's modules anyway
-    from repro.session import SimulationSession
-
+def _run_shard(job: JobSpec) -> tuple[dict[str, object], int]:
+    """Worker side: run one shard to completion, ship its report back."""
     session = SimulationSession(
-        policy=task.policy,
-        config=task.config,
-        predictor_config=task.predictor_config,
-        dbi_max_rows=task.dbi_max_rows,
-        streams=task.streams,
-        sampling=task.sampling,
+        policy=job.policy,
+        config=job.config,
+        predictor_config=job.predictor_config,
+        dbi_max_rows=job.dbi_max_rows,
+        streams=job.streams,
+        sampling=job.sampling,
     )
-    session.begin(task.trace)
-    _WORKER_SESSIONS[task.shard_id] = session
-    return {"shard": task.shard_id}
+    report = session.run()
+    return report.to_dict(), session.sim.queue.executed
 
 
-def _shard_step(shard_id: int, until: int) -> dict[str, object]:
-    """Advance one epoch; report progress and boundary-traffic deltas."""
-    session = _WORKER_SESSIONS[shard_id]
-    dram_before = session.stats.get("dram.accesses")
-    remote_before = session.stats.get("topo.remote_requests")
-    done = session.step(until)
-    if not done and session.sim.queue.pending == 0:
-        raise RuntimeError(
-            f"shard {shard_id} deadlocked: its event queue drained with "
-            "work outstanding"
-        )
-    return {
-        "shard": shard_id,
-        "done": done,
-        "now": session.sim.now,
-        "executed": session.sim.queue.executed,
-        "boundary_dram": session.stats.get("dram.accesses") - dram_before,
-        "boundary_remote": session.stats.get("topo.remote_requests") - remote_before,
-    }
-
-
-def _shard_finish(shard_id: int) -> dict[str, object]:
-    """Drain trailing events, finalize, and ship the report back."""
-    session = _WORKER_SESSIONS.pop(shard_id)
-    session.sim.run()  # leftover post-completion events + finish hooks
-    report = session.finish()
-    return {
-        "shard": shard_id,
-        "report": report.to_dict(),
-        "executed": session.sim.queue.executed,
-    }
-
-
-# ----------------------------------------------------------------------
-# coordinator side
-# ----------------------------------------------------------------------
 def _share_config(config: SystemConfig, share: int, total: int) -> SystemConfig:
     """The slice of the machine a shard owning ``share`` of ``total`` CUs
     gets: shared resources scale proportionally with the same floors as
@@ -193,57 +90,15 @@ def _share_config(config: SystemConfig, share: int, total: int) -> SystemConfig:
     )
 
 
-def _task_failure(task: ShardTask, exc: BaseException, phase: str):
-    from repro.experiments.jobs import JobFailure
-
-    return JobFailure(
-        index=task.shard_id,
-        fingerprint=fingerprint(task.describe(), kind="ShardTask"),
-        job=dict(task.describe(), phase=phase),
-        error=repr(exc),
-        attempts=1,
-    )
-
-
-def _resolve_axis(
-    axis: str,
-    streams: Optional[tuple[StreamConfig, ...]],
-    topology: Optional[TopologyConfig],
-) -> str:
-    if streams is not None and topology is not None:
-        raise ValueError(
-            "sharding a run that is both multi-stream and multi-device is "
-            "not supported; shard along one seam at a time"
-        )
-    if axis == "auto":
-        if streams is not None:
-            return "streams"
-        if topology is not None:
-            return "devices"
-        raise ValueError(
-            "nothing to shard along: sharding needs a serving mix "
-            "(streams axis) or a multi-device topology (devices axis)"
-        )
-    if axis == "streams" and streams is None:
-        raise ValueError("axis='streams' needs a serving mix (streams=...)")
-    if axis == "devices" and topology is None:
-        raise ValueError("axis='devices' needs a multi-device topology")
-    return axis
-
-
-def _stream_tasks(
-    shards: ShardConfig,
-    streams: tuple[StreamConfig, ...],
-    policy: Optional[PolicySpec],
-    config: SystemConfig,
-    predictor_config: Optional[PredictorConfig],
-    dbi_max_rows: Optional[int],
-    sampling: Optional[SamplingConfig],
-) -> tuple[list[ShardTask], list[list[int]]]:
+def _shard_jobs(job: JobSpec, num_shards: int) -> tuple[list[JobSpec], list[list[int]]]:
+    """Split ``job``'s streams into one job per shard, plus each shard's
+    global stream indices.  Every check that can fail runs here, in the
+    coordinator, before any worker process exists."""
+    streams, config, sampling = job.streams, job.config, job.sampling
     num_streams = len(streams)
-    if shards.num_shards > num_streams:
+    if num_shards > num_streams:
         raise ValueError(
-            f"cannot split {num_streams} stream(s) into {shards.num_shards} "
+            f"cannot split {num_streams} stream(s) into {num_shards} "
             "shards; each shard needs at least one stream"
         )
     if any(stream.cu_share != "partitioned" for stream in streams):
@@ -258,74 +113,26 @@ def _stream_tasks(
             f"{total_cus} CUs do not divide evenly among {num_streams} "
             "partitioned streams; sharding needs the exact per-stream share"
         )
-    cus_per_stream = total_cus // num_streams
     assignment = [
-        list(range(shard_id, num_streams, shards.num_shards))
-        for shard_id in range(shards.num_shards)
+        list(range(shard_id, num_streams, num_shards)) for shard_id in range(num_shards)
     ]
-    tasks = []
-    for shard_id, indices in enumerate(assignment):
-        shard_streams = tuple(streams[index] for index in indices)
-        tasks.append(
-            ShardTask(
-                shard_id=shard_id,
-                policy=policy,
-                config=_share_config(
-                    config, cus_per_stream * len(indices), total_cus
-                ),
-                predictor_config=predictor_config,
-                dbi_max_rows=dbi_max_rows,
-                sampling=sampling,
-                streams=shard_streams,
-            )
-        )
-    return tasks, assignment
-
-
-def _device_tasks(
-    shards: ShardConfig,
-    workload: Union[Workload, WorkloadTrace, None],
-    topology: TopologyConfig,
-    policy: Optional[PolicySpec],
-    config: SystemConfig,
-    predictor_config: Optional[PredictorConfig],
-    dbi_max_rows: Optional[int],
-    sampling: Optional[SamplingConfig],
-) -> list[ShardTask]:
-    if workload is None:
-        raise ValueError("devices-axis sharding needs a workload")
-    if shards.num_shards != topology.num_devices:
+    if sampling is not None and any(len(indices) > 1 for indices in assignment):
         raise ValueError(
-            f"devices-axis sharding needs one shard per device: got "
-            f"{shards.num_shards} shards for {topology.num_devices} devices"
+            f"phase-sampled fast-forward supports one stream per shard, but "
+            f"{num_streams} streams on {num_shards} shards puts several on "
+            f"one; use num_shards={num_streams}"
         )
-    trace = workload.build_trace() if isinstance(workload, Workload) else workload
-    partitioned = partition_trace(
-        trace, topology, line_bytes=config.l2.line_bytes
-    )
-    tasks = []
-    for device in range(topology.num_devices):
-        kernels = []
-        for kernel in partitioned.kernels:
-            wavefronts = [
-                dc_replace(program, device=None)
-                for program in kernel.wavefronts
-                if program.device == device
-            ]
-            if wavefronts:
-                kernels.append(KernelTrace(name=kernel.name, wavefronts=wavefronts))
-        tasks.append(
-            ShardTask(
-                shard_id=device,
-                policy=policy,
-                config=config,  # topology configs describe one device already
-                predictor_config=predictor_config,
-                dbi_max_rows=dbi_max_rows,
-                sampling=sampling,
-                trace=WorkloadTrace(name=trace.name, kernels=kernels),
-            )
+    cus_per_stream = total_cus // num_streams
+    jobs = [
+        dc_replace(
+            job,
+            workload="+".join(streams[index].display for index in indices),
+            config=_share_config(config, cus_per_stream * len(indices), total_cus),
+            streams=tuple(streams[index] for index in indices),
         )
-    return tasks
+        for indices in assignment
+    ]
+    return jobs, assignment
 
 
 def _remap_stream_counter(name: str, local_to_global: dict[int, int]) -> str:
@@ -340,35 +147,21 @@ def _remap_stream_counter(name: str, local_to_global: dict[int, int]) -> str:
 
 
 def _merge_reports(
-    payloads: list[dict[str, object]],
-    tasks: list[ShardTask],
-    assignment: Optional[list[list[int]]],
+    results: list[tuple[dict[str, object], int]],
+    assignment: list[list[int]],
     label: str,
     config: SystemConfig,
-    shards: ShardConfig,
-    epochs: int,
-    boundary_dram: int,
-    boundary_remote: int,
-    max_skew: int,
 ) -> RunReport:
-    reports = [RunReport.from_dict(payload["report"]) for payload in payloads]
+    reports = [RunReport.from_dict(payload) for payload, _ in results]
     counters: dict[str, int] = {}
     error_estimates: dict[str, float] = {}
     executed_kernels = skipped_kernels = 0
     executed_events = represented_events = 0
     sampled = False
-    for task, payload, report in zip(tasks, payloads, reports):
-        local_to_global = (
-            {local: global_ for local, global_ in enumerate(assignment[task.shard_id])}
-            if assignment is not None
-            else {}
-        )
+    for indices, (_, shard_events), report in zip(assignment, results, reports):
+        local_to_global = dict(enumerate(indices))
         for name, value in report.counters.items():
-            merged_name = (
-                _remap_stream_counter(name, local_to_global)
-                if local_to_global
-                else name
-            )
+            merged_name = _remap_stream_counter(name, local_to_global)
             if merged_name == "gpu.finish_cycle":
                 counters[merged_name] = max(counters.get(merged_name, 0), value)
             else:
@@ -376,15 +169,8 @@ def _merge_reports(
                 # summation is also a remap-preserving copy for them
                 counters[merged_name] = counters.get(merged_name, 0) + value
         for name, value in report.error_estimates.items():
-            merged_name = (
-                _remap_stream_counter(name, local_to_global)
-                if local_to_global
-                else name
-            )
-            error_estimates[merged_name] = max(
-                error_estimates.get(merged_name, 0.0), value
-            )
-        shard_events = int(payload["executed"])
+            merged_name = _remap_stream_counter(name, local_to_global)
+            error_estimates[merged_name] = max(error_estimates.get(merged_name, 0.0), value)
         executed_events += shard_events
         if report.sampling:
             sampled = True
@@ -397,15 +183,8 @@ def _merge_reports(
             executed_kernels += report.get("gpu.kernels_launched")
             represented_events += shard_events
     cycles = max(report.cycles for report in reports)
-    counters["gpu.finish_cycle"] = max(
-        counters.get("gpu.finish_cycle", 0), cycles
-    )
-    counters["shard.count"] = len(tasks)
-    counters["shard.epochs"] = epochs
-    counters["shard.boundary_dram"] = boundary_dram
-    if boundary_remote:
-        counters["shard.boundary_remote"] = boundary_remote
-    counters["shard.max_skew_cycles"] = max_skew
+    counters["gpu.finish_cycle"] = max(counters.get("gpu.finish_cycle", 0), cycles)
+    counters["shard.count"] = len(results)
     total_kernels = executed_kernels + skipped_kernels
     merged = RunReport(
         workload=label,
@@ -418,12 +197,10 @@ def _merge_reports(
     merged.error_estimates = error_estimates
     merged.sampling = {
         "mode": "phase_sampled+sharded" if sampled else "sharded",
-        "shards": len(tasks),
+        "shards": len(results),
         "executed_kernels": executed_kernels,
         "skipped_kernels": skipped_kernels,
-        "skipped_fraction": (
-            skipped_kernels / total_kernels if total_kernels else 0.0
-        ),
+        "skipped_fraction": skipped_kernels / total_kernels if total_kernels else 0.0,
         "executed_events": executed_events,
         "represented_events": represented_events,
     }
@@ -431,13 +208,13 @@ def _merge_reports(
 
 
 def run_sharded(
-    workload: Union[Workload, WorkloadTrace, None] = None,
+    workload=None,
     policy: Union[PolicySpec, str, None] = None,
     config: Optional[SystemConfig] = None,
     predictor_config: Optional[PredictorConfig] = None,
     dbi_max_rows: Optional[int] = None,
     adaptive=None,
-    topology: Optional[TopologyConfig] = None,
+    topology=None,
     streams: Union[ServingMix, Sequence[StreamConfig], None] = None,
     faults=None,
     sampling: Optional[SamplingConfig] = None,
@@ -445,154 +222,70 @@ def run_sharded(
     telemetry=None,
     obs=None,
 ) -> RunReport:
-    """Execute one run as epoch-synchronized shard processes and merge.
+    """Run each shard of a partitioned serving mix as its own job and merge.
 
     Mirrors :func:`repro.session.simulate`'s signature (it dispatches
-    here when ``shards`` is non-empty); global subsystems that a process
-    boundary cannot split -- adaptive control, fault plans with events,
-    telemetry observers, the obs layer -- are rejected explicitly.
+    here when ``shards`` is non-empty); inputs that a process boundary
+    cannot split -- a single workload, a topology, adaptive control,
+    fault plans with events, telemetry observers, the obs layer -- are
+    rejected before any worker starts.
     """
     if shards is None or shards.empty:
         raise ValueError("run_sharded needs a ShardConfig with num_shards > 1")
-    if adaptive is not None:
+    if topology is not None:
         raise ValueError(
-            "sharded execution does not compose with adaptive policy "
-            "control: the controller's duel state is global to the run"
+            "a topology cannot be sharded: only a serving mix's partitioned "
+            "streams split into independent shards"
         )
-    if faults is not None and not getattr(faults, "empty", False):
+    if streams is None or workload is not None:
         raise ValueError(
-            "sharded execution does not compose with fault injection: the "
-            "fault schedule addresses the whole system"
+            "sharding needs a serving mix (streams=...) and no workload: "
+            "each shard derives its workloads from its streams"
         )
-    if telemetry is not None and getattr(telemetry, "enabled", True):
-        raise ValueError("sharded execution does not support telemetry observers")
-    if obs is not None and getattr(obs, "enabled", True):
-        raise ValueError("sharded execution does not support the obs layer")
+    global_state = {
+        "adaptive policy control": adaptive is not None,
+        "fault injection": faults is not None and not faults.empty,
+        "telemetry observers": telemetry is not None and telemetry.enabled,
+        "the obs layer": obs is not None and obs.enabled,
+    }
+    for subsystem, present in global_state.items():
+        if present:
+            raise ValueError(
+                f"sharded execution does not compose with {subsystem}: its "
+                "state spans the whole run, which a process boundary splits"
+            )
     if policy is None:
         raise ValueError("a sharded run needs a policy")
-    resolved_policy = policy_by_name(policy) if isinstance(policy, str) else policy
-    config = config or default_config()
-    sampling = sampling if sampling is not None and not sampling.empty else None
-
-    if streams is None:
-        stream_tuple: Optional[tuple[StreamConfig, ...]] = None
-        label = ""
-    elif isinstance(streams, ServingMix):
-        stream_tuple = streams.streams
-        label = streams.name
+    if isinstance(streams, ServingMix):
+        stream_tuple, label = streams.streams, streams.name
     else:
         stream_tuple = tuple(streams)
         label = "+".join(stream.display for stream in stream_tuple)
-
-    axis = _resolve_axis(shards.axis, stream_tuple, topology)
-    assignment: Optional[list[list[int]]] = None
-    if axis == "streams":
-        if workload is not None:
-            raise ValueError(
-                "a sharded serving run derives its workloads from the "
-                "stream configurations; pass no workload"
-            )
-        tasks, assignment = _stream_tasks(
-            shards,
-            stream_tuple,
-            resolved_policy,
-            config,
-            predictor_config,
-            dbi_max_rows,
-            sampling,
-        )
-    else:
-        tasks = _device_tasks(
-            shards,
-            workload,
-            topology,
-            resolved_policy,
-            config,
-            predictor_config,
-            dbi_max_rows,
-            sampling,
-        )
-        label = tasks[0].trace.name if tasks[0].trace is not None else label
-
-    timeout = shards.timeout_seconds
-    epochs = 0
-    boundary_dram = boundary_remote = 0
-    max_skew = 0
-    payloads: list[Optional[dict[str, object]]] = [None] * len(tasks)
-    with ExitStack() as stack:
-        pools: list[ProcessPoolExecutor] = []
-        for task in tasks:
-            pool = ProcessPoolExecutor(max_workers=1)
-            # released unconditionally, without waiting: a failed or stuck
-            # shard must never leak its worker process past this run
-            stack.callback(pool.shutdown, wait=False, cancel_futures=True)
-            pools.append(pool)
-
-        def call(task: ShardTask, phase: str, fn, *args):
-            try:
-                return pools[task.shard_id].submit(fn, *args).result(timeout=timeout)
-            except BaseException as exc:
-                failure = _task_failure(task, exc, phase)
-                raise ShardExecutionError(
-                    f"shard {task.shard_id} failed during {phase}: {exc!r}",
-                    [failure],
-                ) from exc
-
-        # startup barrier: every shard builds its session and schedules
-        # its work before any simulated time advances
-        begin_futures = [
-            pools[task.shard_id].submit(_shard_begin, task) for task in tasks
-        ]
-        for task, future in zip(tasks, begin_futures):
-            try:
-                future.result(timeout=timeout)
-            except BaseException as exc:
-                failure = _task_failure(task, exc, "begin")
-                raise ShardExecutionError(
-                    f"shard {task.shard_id} failed during begin: {exc!r}", [failure]
-                ) from exc
-
-        active = {task.shard_id for task in tasks}
-        until = shards.epoch_cycles
-        while active:
-            epochs += 1
-            step_futures = {
-                shard_id: pools[shard_id].submit(_shard_step, shard_id, until)
-                for shard_id in sorted(active)
-            }
-            fronts: list[int] = []
-            for shard_id, future in step_futures.items():
-                try:
-                    result = future.result(timeout=timeout)
-                except BaseException as exc:
-                    failure = _task_failure(tasks[shard_id], exc, "step")
-                    raise ShardExecutionError(
-                        f"shard {shard_id} failed during epoch {epochs}: {exc!r}",
-                        [failure],
-                    ) from exc
-                boundary_dram += int(result["boundary_dram"])
-                boundary_remote += int(result["boundary_remote"])
-                if result["done"]:
-                    active.discard(shard_id)
-                else:
-                    fronts.append(int(result["now"]))
-            if len(fronts) > 1:
-                max_skew = max(max_skew, max(fronts) - min(fronts))
-            until += shards.epoch_cycles
-
-        for task in tasks:
-            payloads[task.shard_id] = call(task, "finish", _shard_finish, task.shard_id)
-
-    assert all(payload is not None for payload in payloads)
-    return _merge_reports(
-        payloads,  # type: ignore[arg-type]
-        tasks,
-        assignment,
-        label,
-        config,
-        shards,
-        epochs,
-        boundary_dram,
-        boundary_remote,
-        max_skew,
+    config = config or default_config()
+    template = JobSpec(
+        workload=label,
+        policy=policy_by_name(policy) if isinstance(policy, str) else policy,
+        config=config,
+        predictor_config=predictor_config,
+        dbi_max_rows=dbi_max_rows,
+        streams=stream_tuple,
+        sampling=sampling if sampling is not None and not sampling.empty else None,
     )
+    jobs, assignment = _shard_jobs(template, shards.num_shards)
+    pool = ProcessPoolExecutor(max_workers=len(jobs))
+    try:
+        futures = [pool.submit(_run_shard, job) for job in jobs]
+        results = []
+        for index, (job, future) in enumerate(zip(jobs, futures)):
+            try:
+                results.append(future.result())
+            except BaseException as exc:
+                raise ShardExecutionError(
+                    f"shard {index} failed: {exc!r}",
+                    [_failure(job, index, exc, attempts=1)],
+                ) from exc
+    finally:
+        # released without waiting: a failed or stuck shard must never
+        # leak its worker process past this run
+        pool.shutdown(wait=False, cancel_futures=True)
+    return _merge_reports(results, assignment, label, config)

@@ -115,7 +115,7 @@ from repro.experiments.store import ResultStore, default_cache_dir
 from repro.faults import FAULT_PLAN_NAMES, FAULT_PLANS, fault_plan_by_name
 from repro.ioutil import atomic_write_json
 from repro.log import configure as configure_logging
-from repro.accel import SamplingConfig, ShardConfig
+from repro.accel import SamplingConfig
 from repro.obs import (
     CORE_BENCHMARK,
     EFFECTIVE_BENCHMARK,

@@ -107,12 +107,13 @@ class JobSpec:
             one in the store.  A *disabled* config fingerprints
             identically to no config (exact mode is bit-identical by
             construction), so exact baselines keep their warm cells.
-        shards: when given (and ``num_shards > 1``), the run executes as
-            epoch-synchronized worker processes
-            (:mod:`repro.accel.shard`).  Merged shard reports differ
-            from monolithic ones (``shard.*`` counters, merge rounding),
-            so the shard geometry is fingerprinted the same way: a
-            single-shard config hashes as ``None``.
+        shards: when given (and ``num_shards > 1``), the partitioned
+            streams run as independent worker processes whose reports
+            are merged (:mod:`repro.accel.shard`).  Each shard simulates
+            its tenants alone on its slice of the machine, so merged
+            reports differ from monolithic ones; the shard geometry is
+            fingerprinted the same way: a single-shard config hashes as
+            ``None``.
     """
 
     workload: str

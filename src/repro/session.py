@@ -288,7 +288,7 @@ class SimulationSession:
                 raise ValueError(
                     "phase-sampled fast-forward needs unambiguous per-kernel "
                     "counter attribution, so it supports at most one stream; "
-                    "shard a multi-stream run along the streams axis instead"
+                    "shard a multi-stream run with one stream per shard instead"
                 )
             if faults is not None and not faults.empty:
                 raise ValueError(
@@ -342,10 +342,8 @@ class SimulationSession:
     def begin(self, workload: Workload | WorkloadTrace | None = None) -> None:
         """Schedule the run without advancing simulated time.
 
-        :meth:`run` is ``begin(); sim.run(); finish()``.  Shard workers
-        use the pieces directly: ``begin()`` once, :meth:`step` per
-        epoch, and ``finish()`` after the queue drains, so one session
-        can advance in bounded slices under an external coordinator.
+        :meth:`run` is ``begin(); sim.run(); finish()``; callers that
+        drive the event queue themselves use the pieces directly.
         """
         if self.streams is not None:
             if workload is not None:
@@ -401,24 +399,6 @@ class SimulationSession:
         self._finished.append(self.sim.now)
         if self.injector is not None:
             self.injector.finalize()
-
-    def step(self, until: int) -> bool:
-        """Advance the event queue to simulated time ``until``.
-
-        Returns True once the scheduled work has completed.  Bypasses
-        :meth:`Simulator.run` so finish hooks fire exactly once, from
-        the final drain -- the caller runs ``sim.run()`` before
-        :meth:`finish` when this returns True.
-        """
-        remaining = self.sim.max_events - self.sim.queue.executed
-        self.sim.queue.run(until=until, max_events=max(0, remaining))
-        if self.sim.queue.pending and self.sim.queue.executed >= self.sim.max_events:
-            raise RuntimeError(
-                f"simulation exceeded the event budget of {self.sim.max_events} "
-                "events; a component is probably rescheduling itself without "
-                "making progress"
-            )
-        return bool(self._finished)
 
     def finish(self) -> RunReport:
         """Build the run report after the event queue has drained."""
@@ -609,12 +589,13 @@ def simulate(
 
     The fast simulation modes compose here too: ``sampling=`` enables
     phase-sampled fast-forward inside each simulated process, and
-    ``shards=`` (with ``num_shards > 1``) partitions the run along its
-    streams or devices into epoch-synchronized worker processes.  Both
-    default to exact mode, which is bit-identical to omitting them.
+    ``shards=`` (with ``num_shards > 1``) runs the partitioned streams of
+    a serving mix as independent worker processes and merges their
+    reports.  Both default to exact mode, which is bit-identical to
+    omitting them.
     """
     if shards is not None and not shards.empty:
-        # imported lazily: the shard coordinator builds sessions itself
+        # imported lazily: the shard coordinator imports this module
         from repro.accel.shard import run_sharded
 
         return run_sharded(

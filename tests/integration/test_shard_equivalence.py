@@ -1,17 +1,22 @@
 """Merged sharded runs against their monolithic equivalents.
 
-Sharding splits a run along a physical seam (partitioned streams, or
-devices of a multi-chip topology) into epoch-synchronized worker
-processes and merges the per-shard reports.  The merge contract tested
-here: traffic-driven totals (DRAM/L2 accesses, GPU work) are *conserved
-exactly* -- the same memory requests happen, just in different
-processes -- while timing-coupled counters (queue stalls, row-buffer
-locality, contention) may drift because the shards no longer interleave
-in one clock.  Failure paths surface as :class:`ShardExecutionError`
-carrying the same structured ``JobFailure`` records sweep backends use.
+Sharding runs the partitioned streams of a serving mix as independent
+worker processes and merges the per-shard reports.  The merge contract
+tested here: traffic-driven totals (DRAM/L2 accesses, GPU work) are
+*conserved exactly* -- the same memory requests happen, just in
+different processes -- while timing-coupled counters (queue stalls,
+row-buffer locality, contention) may drift because the shards no longer
+interleave in one clock.  ``golden_shard_merge.json`` pins two merged
+reports to the values the earlier epoch-lock-step coordinator produced.
+Bad configurations are rejected before any worker is forked; worker
+failures surface as :class:`ShardExecutionError` carrying the same
+structured ``JobFailure`` records sweep backends use.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +27,6 @@ from repro.core.policies import policy_by_name
 from repro.session import SimulationSession, simulate
 from repro.streams import StreamConfig
 from repro.topology import TOPOLOGIES
-from repro.workloads import get_workload
 
 #: totals that must survive the process split bit-for-bit: they count
 #: *what* traffic happened, not *when*
@@ -80,28 +84,6 @@ class TestStreamsAxis:
         for stream_index in (0, 1):
             assert f"stream{stream_index}.kernels_launched" in sharded["counters"]
 
-    def test_epoch_barriers_do_not_change_the_answer(self):
-        """A tiny epoch forces many synchronization rounds; the merged
-        totals must not depend on the barrier cadence."""
-        streams = _partitioned_streams()
-        config = scaled_config(8)
-        coarse = simulate(
-            policy=CACHE_RW,
-            config=config,
-            streams=streams,
-            shards=ShardConfig(num_shards=2, axis="streams"),
-        ).to_dict()
-        fine = simulate(
-            policy=CACHE_RW,
-            config=config,
-            streams=streams,
-            shards=ShardConfig(num_shards=2, axis="streams", epoch_cycles=5_000),
-        ).to_dict()
-        assert fine["counters"]["shard.epochs"] > coarse["counters"]["shard.epochs"]
-        assert fine["cycles"] == coarse["cycles"]
-        for name in CONSERVED:
-            assert fine["counters"].get(name, 0) == coarse["counters"].get(name, 0)
-
     def test_sampling_composes_with_sharding(self):
         streams = [
             StreamConfig(
@@ -122,24 +104,49 @@ class TestStreamsAxis:
         assert summary["represented_events"] > summary["executed_events"]
 
 
-class TestDevicesAxis:
-    def test_work_totals_are_conserved_across_device_shards(self):
-        workload = get_workload("FwLSTM", scale=1.0)
-        topology = TOPOLOGIES["dual-chiplet"]
-        config = scaled_config(8)
-        mono = simulate(workload, CACHE_RW, config=config, topology=topology).to_dict()
-        sharded = simulate(
-            get_workload("FwLSTM", scale=1.0),
-            CACHE_RW,
-            config=config,
-            topology=topology,
-            shards=ShardConfig(num_shards=2, axis="devices"),
+GOLDEN_PATH = Path(__file__).parent / "golden_shard_merge.json"
+
+#: lock-step diagnostics the earlier coordinator added to merged reports
+LOCK_STEP_COUNTERS = (
+    "shard.epochs",
+    "shard.max_skew_cycles",
+    "shard.boundary_dram",
+    "shard.boundary_remote",
+)
+
+#: scenario name -> simulate() keyword arguments
+PINNED_RUNS = {
+    # sampled tenants, offset launches: error estimates and extrapolation
+    "sampled_fwlstm_fwgru": dict(
+        streams=[
+            StreamConfig("FwLSTM", scale=8.0, launch_cycle=1234, cu_share="partitioned"),
+            StreamConfig("FwGRU", scale=8.0, launch_cycle=77, cu_share="partitioned"),
+        ],
+        sampling=SamplingConfig(warmup_instances=1, measure_instances=1),
+    ),
+    # exact tenants long enough to have spanned two lock-step epochs
+    "exact_cm_fwlstm": dict(streams=_partitioned_streams(scale=1.0)),
+}
+
+
+class TestParentPin:
+    @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+    def test_merged_report_matches_the_lock_step_coordinator(self, name):
+        """Running each shard straight through changes no merged value:
+        cycles, counters, sampling summary and error estimates equal the
+        epoch-synchronized coordinator's, minus its lock-step counters."""
+        golden = json.loads(GOLDEN_PATH.read_text())[name]
+        report = simulate(
+            policy=CACHE_RW,
+            config=scaled_config(8),
+            shards=ShardConfig(num_shards=2),
+            **PINNED_RUNS[name],
         ).to_dict()
-        # the trace-driven totals are fixed by the workload, however the
-        # wavefronts are placed
-        for name in ("gpu.vector_ops", "gpu.mem_requests"):
-            assert sharded["counters"].get(name, 0) == mono["counters"].get(name, 0)
-        assert sharded["counters"]["shard.count"] == 2
+        assert not set(LOCK_STEP_COUNTERS) & set(report["counters"])
+        assert report["cycles"] == golden["cycles"]
+        assert report["counters"] == golden["counters"]
+        assert report["sampling"] == golden["sampling"]
+        assert report.get("error_estimates", {}) == golden["error_estimates"]
 
 
 class TestShardValidation:
@@ -178,17 +185,31 @@ class TestShardValidation:
                 shards=ShardConfig(num_shards=3, axis="streams"),
             )
 
-    def test_rejects_wrong_shard_count_for_devices(self):
-        with pytest.raises(ValueError, match="one shard per device"):
-            run_sharded(
-                get_workload("FwLSTM", scale=0.5),
-                CACHE_RW,
-                topology=TOPOLOGIES["dual-chiplet"],
-                shards=ShardConfig(num_shards=3, axis="devices"),
+    def test_rejects_sampling_with_several_streams_per_shard(self, monkeypatch):
+        """Sampling needs one stream per shard; a violation is a
+        ValueError from the coordinator, before any pool is created."""
+        pools = []
+        monkeypatch.setattr(
+            "repro.accel.shard.ProcessPoolExecutor", lambda *a, **k: pools.append(a)
+        )
+        streams = [
+            StreamConfig(
+                workload="FwLSTM", scale=0.5, cu_share="partitioned", label=f"s{i}"
             )
+            for i in range(4)
+        ]
+        with pytest.raises(ValueError, match="one stream per shard"):
+            simulate(
+                policy=CACHE_RW,
+                config=scaled_config(16),
+                streams=streams,
+                sampling=SamplingConfig(),
+                shards=ShardConfig(num_shards=2),
+            )
+        assert pools == []
 
-    def test_rejects_sharding_both_seams_at_once(self):
-        with pytest.raises(ValueError, match="one seam"):
+    def test_rejects_a_topology(self):
+        with pytest.raises(ValueError, match="topology cannot be sharded"):
             run_sharded(
                 policy=CACHE_RW,
                 streams=_partitioned_streams(),
@@ -200,8 +221,8 @@ class TestShardValidation:
 class TestShardFailureRecords:
     def test_worker_failure_surfaces_structured_job_failures(self):
         """A shard that cannot even build its session (unknown workload
-        name) fails the begin barrier with the sweep-backend failure
-        contract: structured records, not a bare traceback."""
+        name) fails with the sweep-backend failure contract: structured
+        records, not a bare traceback."""
         streams = [
             StreamConfig(
                 workload="NoSuchWorkload",

@@ -64,8 +64,8 @@ class TestShardConfigValidation:
         [
             {"num_shards": 0},
             {"axis": "bogus"},
-            {"epoch_cycles": 0},
-            {"timeout_seconds": 0.0},
+            {"axis": "devices"},
+            {"axis": "auto"},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
@@ -76,9 +76,9 @@ class TestShardConfigValidation:
         for axis in SHARD_AXES:
             assert ShardConfig(num_shards=2, axis=axis).axis == axis
 
-    def test_describe_excludes_the_host_side_timeout(self):
-        described = ShardConfig(num_shards=2, timeout_seconds=30.0).describe()
-        assert set(described) == {"num_shards", "axis", "epoch_cycles"}
+    def test_describe_holds_only_the_shard_geometry(self):
+        described = ShardConfig(num_shards=2).describe()
+        assert described == {"num_shards": 2, "axis": "streams"}
 
 
 class TestJobSpecAccelFingerprint:
@@ -116,8 +116,7 @@ class TestJobSpecAccelFingerprint:
     def test_shard_parameters_are_load_bearing(self):
         a = self._job(shards=ShardConfig(num_shards=2)).fingerprint()
         b = self._job(shards=ShardConfig(num_shards=3)).fingerprint()
-        c = self._job(shards=ShardConfig(num_shards=2, epoch_cycles=1000)).fingerprint()
-        assert len({a, b, c}) == 3
+        assert a != b
 
     def test_summary_mentions_acceleration_only_when_enabled(self):
         assert "sampling" not in self._job().summary()
